@@ -80,11 +80,13 @@ def success_stats(records: Sequence) -> SuccessStats:
     """Success-rate statistics with a normal-approximation 99% CI.
 
     Accepts anything with a boolean `success` attribute (SwapRecord,
-    ChainRunRecord).
+    ChainRunRecord), or the success flags themselves.
     """
     if not records:
         raise ValueError("success_stats needs at least one record")
-    flags = np.array([bool(r.success) for r in records], dtype=float)
+    flags = np.array(
+        [r if isinstance(r, (bool, np.bool_)) else bool(r.success) for r in records], dtype=float
+    )
     n = flags.size
     mean = float(flags.mean())
     std_error = float(np.sqrt(mean * (1.0 - mean) / n))

@@ -2,7 +2,8 @@
 
 `enumerate_branches` lists every outcome string with its exact Born
 probability and renormalized post-measurement state; `sample` draws one
-branch from a seeded, platform-stable random stream.  Measured qubits stay
+branch from a seeded, platform-stable random stream, and `first_uniforms`
+computes the first draw of many such streams at once.  Measured qubits stay
 in the state (collapsed onto their outcome ket); `discard` drops subsystems
 that sit in a definite basis level once they are no longer wanted.
 """
@@ -77,6 +78,115 @@ class RngStream:
     def spawn(self, stream_index: int) -> "RngStream":
         """Independent sibling stream under the same master seed."""
         return RngStream(self.master_seed, stream_index, self.algorithm)
+
+
+# numpy's SeedSequence hash constants (pool of four 32-bit words)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 2**64 - 1
+# PCG64 (XSL-RR 128/64) multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT2 = _PCG_MULT * _PCG_MULT % 2**128
+_PCG_INC_MULT = (_PCG_MULT2 + _PCG_MULT + 1) % 2**128
+
+_U32_16 = np.uint32(16)
+_U64_32, _U64_M32 = np.uint64(32), np.uint64(_MASK32)
+
+
+class _HashMix:
+    """SeedSequence's hashmix, with its running hash constant."""
+
+    def __init__(self):
+        self.const = _INIT_A
+
+    def __call__(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ np.uint32(self.const)
+        self.const = (self.const * _MULT_A) & _MASK32
+        value = value * np.uint32(self.const)
+        return value ^ (value >> _U32_16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> _U32_16)
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b (b a 64-bit constant)."""
+    a0, a1 = a & _U64_M32, a >> _U64_32
+    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _U64_32) + (p01 & _U64_M32) + (p10 & _U64_M32)
+    return a1 * b1 + (p01 >> _U64_32) + (p10 >> _U64_32) + (mid >> _U64_32)
+
+
+def _mul128(hi: np.ndarray, lo: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) * k modulo 2^128, for a 128-bit constant k."""
+    k_hi, k_lo = k >> 64, k & _MASK64
+    return _mulhi64(lo, k_lo) + lo * np.uint64(k_hi) + hi * np.uint64(k_lo), lo * np.uint64(k_lo)
+
+
+def first_uniforms(master_seed: int, stream_indices) -> np.ndarray:
+    """First `RngStream(master_seed, i).uniform()` of every listed stream, in one pass.
+
+    Element i equals that draw bit for bit: the SeedSequence entropy mixing
+    and generate_state(4, uint64) run on uint32 arrays over the streams, then
+    the PCG64 seeding and first XSL-RR output on (hi, lo) uint64 arrays.
+    """
+    seed = int(master_seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"master_seed must be a 64-bit unsigned int, got {master_seed}")
+    idx = np.asarray(stream_indices)
+    if idx.dtype.kind not in "iu" or idx.ndim != 1:
+        raise ValueError("stream_indices must be a one-dimensional integer array")
+    if idx.dtype.kind == "i" and idx.size and idx.min() < 0:
+        raise ValueError("stream indices must be non-negative")
+    idx = idx.astype(np.uint64)
+
+    # Assembled entropy: the seed's words zero-padded to the pool size, then
+    # the spawn key's words (one, or two from 2^32 on).  The pool after the
+    # first four words depends on the seed alone.
+    hashmix = _HashMix()
+    words = [np.array([(seed >> (32 * i)) & _MASK32], dtype=np.uint32) for i in range(_POOL_SIZE)]
+    pool = [hashmix(w) for w in words]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+    lo_word = (idx & _U64_M32).astype(np.uint32)
+    hi_word = (idx >> _U64_32).astype(np.uint32)
+    pool = [_mix(p, hashmix(lo_word)) for p in pool]
+    wide = hi_word != 0
+    pool = [np.where(wide, _mix(p, hashmix(hi_word)), p) for p in pool]
+
+    # generate_state(4, uint64): eight words cycled from the pool, paired
+    # little-endian into 64-bit words
+    hash_const = _INIT_B
+    state32 = []
+    for i in range(2 * _POOL_SIZE):
+        data = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        data = data * np.uint32(hash_const)
+        state32.append((data ^ (data >> _U32_16)).astype(np.uint64))
+    w0, w1, w2, w3 = (lo | (hi << _U64_32) for lo, hi in zip(state32[0::2], state32[1::2]))
+
+    # PCG64 seeding (state s = w0:w1, inc = (w2:w3 << 1) | 1) and the first
+    # step: the state that the first output reads is s M^2 + inc (M^2 + M + 1)
+    inc_hi = (w2 << np.uint64(1)) | (w3 >> np.uint64(63))
+    inc_lo = (w3 << np.uint64(1)) | np.uint64(1)
+    s_hi, s_lo = _mul128(w0, w1, _PCG_MULT2)
+    i_hi, i_lo = _mul128(inc_hi, inc_lo, _PCG_INC_MULT)
+    lo = s_lo + i_lo
+    hi = s_hi + i_hi + (lo < s_lo).astype(np.uint64)
+
+    # XSL-RR output, then next_double's 53 high bits
+    rot = hi >> np.uint64(58)
+    x = hi ^ lo
+    out = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (out >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
 def _measurement_layout(state: StateVector, measured: Sequence[str]):

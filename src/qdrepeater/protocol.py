@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from math import pi
+from math import fmod, pi
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -195,8 +195,12 @@ class SwapRecord:
 
 @lru_cache(maxsize=64)
 def _exchange_unitary(theta: float) -> OperatorMatrix:
-    """e^{-iθM} for the dimensionless exchange generator M (θ = λt)."""
-    return propagator(exchange_generator(("mid_a", "mid_b")), theta)
+    """e^{-iθM} for the dimensionless exchange generator M (θ = λt).
+
+    M has eigenvalues 0 and 2, so the exchange has period π in θ; reducing θ
+    keeps huge phases finite and leaves every |θ| < π unchanged.
+    """
+    return propagator(exchange_generator(("mid_a", "mid_b")), fmod(theta, pi))
 
 
 def _pair_ids(left: PairState, right: PairState) -> tuple[str, str, str, str]:
@@ -255,6 +259,11 @@ class _SwapTable:
     total: np.floating
     records: tuple[SwapRecord, ...]
 
+    def pick(self, u: Union[float, np.ndarray]) -> Union[np.integer, np.ndarray]:
+        """Branch index of each uniform draw u in [0, 1), as `measure.sample` picks it."""
+        k = np.searchsorted(self.cumsum, u * self.total, side="right")
+        return np.minimum(k, len(self.records) - 1)
+
     def record(self, left: PairState, right: PairState, theta: float, k: int) -> SwapRecord:
         """Branch k re-labelled with the callers' qubit ids."""
         built = self.records[k]
@@ -310,13 +319,29 @@ def swap_effective(
     (input amplitudes, θ), up to SWAP_TABLE_SIZE tables; records carry the
     callers' qubit ids.
     """
-    _pair_ids(left, right)
-    table = _swap_table(left.amplitudes.tobytes(), right.amplitudes.tobytes(), float(theta))
+    table = _lookup_table(left, right, theta)
     if rng is None:
         return [table.record(left, right, theta, k) for k in range(len(table.records))]
-    # the arithmetic of measure.sample, so the draw picks the same branch
-    k = int(np.searchsorted(table.cumsum, rng.uniform() * table.total, side="right"))
-    return table.record(left, right, theta, min(k, len(table.records) - 1))
+    return table.record(left, right, theta, int(table.pick(rng.uniform())))
+
+
+def sample_branches(
+    left: PairState, right: PairState, theta: float, draws: np.ndarray
+) -> tuple[list[SwapRecord], np.ndarray]:
+    """Swap one pair of inputs once per uniform draw, resolved in one batch.
+
+    Returns the enumerated branch records (as `swap_effective` without an
+    rng) and, per draw, the index of the record it picks; draw u picks what
+    `swap_effective(left, right, theta, rng)` returns when rng.uniform() is u.
+    """
+    table = _lookup_table(left, right, theta)
+    records = [table.record(left, right, theta, k) for k in range(len(table.records))]
+    return records, table.pick(np.asarray(draws, dtype=float))
+
+
+def _lookup_table(left: PairState, right: PairState, theta: float) -> _SwapTable:
+    _pair_ids(left, right)
+    return _swap_table(left.amplitudes.tobytes(), right.amplitudes.tobytes(), float(theta))
 
 
 @dataclass(frozen=True)

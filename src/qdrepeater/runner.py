@@ -24,7 +24,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from math import isfinite, pi
+from math import inf, isfinite, pi, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .analysis import BRANCH_ORDER, dispersive_sweep, success_stats
 from .hilbert import apply, evolve, fock_vacuum, propagator, qubit_basis, tensor
-from .measure import RngStream
+from .measure import RngStream, first_uniforms
 from .model import PhysParams, build_effective, build_full_tcm, build_h0, closed_form_step
 from .protocol import (
     RetryPolicy,
@@ -40,6 +40,7 @@ from .protocol import (
     closure_check,
     prepare_singlet,
     run_chain,
+    sample_branches,
     swap_effective,
     swap_full_cavity,
 )
@@ -76,8 +77,9 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise UsageError(f"command: unknown command {self.command!r}")
-        if not isfinite(self.theta):
-            raise UsageError(f"theta: must be finite, got {self.theta}")
+        for name in ("theta", "delta_over_g", "g_over_omega"):
+            if not isfinite(getattr(self, name)):
+                raise UsageError(f"{name}: must be finite, got {getattr(self, name)}")
         if self.n_max < 1:
             raise UsageError(f"n_max: must be >= 1, got {self.n_max}")
         if self.trials < 1:
@@ -95,12 +97,42 @@ class RunConfig:
         if self.g_over_omega <= 0:
             raise UsageError(f"g_over_omega: must be > 0, got {self.g_over_omega}")
         for r in self.ratios:
+            if not isfinite(r):
+                raise UsageError(f"ratios: every ratio must be finite, got {r}")
             if r < 2:
                 raise UsageError(f"ratios: every ratio must be >= 2, got {r}")
         try:
             RetryPolicy.parse(self.retry_policy)
         except ValueError as exc:
             raise UsageError(f"retry_policy: {exc}") from None
+        if self.command in ("sweep", "validate"):
+            self._check_cavity_evolution()
+
+    def _check_cavity_evolution(self) -> None:
+        """Reject cavity evolutions that overflow.
+
+        sweep and validate evolve the full cavity model for t = θ/λ, which,
+        unlike the exchange, has no period in θ: t and the phase ‖H‖t must
+        be finite at every ratio (validate also evolves Δ/g = delta_over_g
+        at 2 n_max).
+        """
+        validate = self.command == "validate"
+        n_max = 2 * self.n_max if validate else self.n_max
+        ratios = (*self.ratios, self.delta_over_g) if validate else self.ratios
+        try:
+            self.phys_params()
+            params = [PhysParams.from_ratio(r, self.g_over_omega, n_max=n_max) for r in ratios]
+        except ValueError as exc:
+            raise UsageError(f"delta_over_g, ratios and g_over_omega: {exc}") from None
+        for ratio, p in zip(ratios, params):
+            t = self.theta / p.lam if p.lam else inf
+            # ‖H_full‖ <= ω n_max + |ω_q| + 4 g √n_max
+            norm = p.omega_cavity * n_max + abs(p.omega_qubit) + 4 * p.g * sqrt(n_max)
+            if not isfinite(t * norm):
+                raise UsageError(
+                    f"theta: evolution time t = theta/lambda = {t:.3g} at delta/g = {ratio:g} "
+                    "overflows the cavity phase"
+                )
 
     def phys_params(self) -> PhysParams:
         return PhysParams.from_ratio(
@@ -237,21 +269,20 @@ def _swap_results(config: RunConfig) -> dict:
                 }
             )
         return {"mode": "enumerate", "rows": rows, "summary": {"success_probability": p_success}}
-    rows = []
-    records = []
-    for trial in range(config.trials):
-        rec = swap_effective(left, right, config.theta, rng=RngStream(config.seed, trial))
-        records.append(rec)
-        rows.append(
-            {
-                "trial": trial,
-                "stream_index": trial,
-                "outcome": rec.branch.outcome_string(),
-                "success": rec.success,
-                "tag": rec.output.tag.value if rec.output else None,
-            }
-        )
-    stats = success_stats(records)
+    # trial i draws once from stream (seed, i): all first draws in one pass
+    draws = first_uniforms(config.seed, np.arange(config.trials, dtype=np.uint64))
+    records, picks = sample_branches(left, right, config.theta, draws)
+    branch_rows = [
+        {
+            "outcome": rec.branch.outcome_string(),
+            "success": rec.success,
+            "tag": rec.output.tag.value if rec.output else None,
+        }
+        for rec in records
+    ]
+    picks = picks.tolist()
+    rows = [{"trial": trial, "stream_index": trial, **branch_rows[k]} for trial, k in enumerate(picks)]
+    stats = success_stats([records[k] for k in picks])
     return {
         "mode": "sample",
         "rows": rows,
@@ -268,11 +299,9 @@ def _swap_results(config: RunConfig) -> dict:
 def _chain_results(config: RunConfig) -> dict:
     policy = RetryPolicy.parse(config.retry_policy)
     rows = []
-    records = []
     pooled: list[dict[int, int]] = [dict() for _ in range(config.depth)]
     for trial in range(config.trials):
         rec = run_chain(config.depth, RngStream(config.seed, trial), config.theta, policy)
-        records.append(rec)
         row = {
             "trial": trial,
             "stream_index": trial,
@@ -287,7 +316,7 @@ def _chain_results(config: RunConfig) -> dict:
             for tries, count in rec.attempt_histograms[lv].items():
                 pooled[lv][tries] = pooled[lv].get(tries, 0) + count
         rows.append(row)
-    stats = success_stats(records)
+    stats = success_stats([row["success"] for row in rows])
     histogram = [
         {str(tries): pooled[lv][tries] for tries in sorted(pooled[lv])}
         for lv in range(config.depth)
@@ -300,7 +329,7 @@ def _chain_results(config: RunConfig) -> dict:
             "std_error": stats.std_error,
             "ci99_low": stats.ci99[0],
             "ci99_high": stats.ci99[1],
-            "mean_pairs_consumed": float(np.mean([r.pairs_consumed for r in records])),
+            "mean_pairs_consumed": float(np.mean([row["pairs_consumed"] for row in rows])),
             "attempt_histograms": histogram,
         },
     }
@@ -469,7 +498,7 @@ class RunRecord:
             "results": self.results,
             "wall_time_ms": self.wall_time_ms,
         }
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def _csv_cell(value) -> str:

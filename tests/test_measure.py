@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qdrepeater.hilbert import apply, qubit_basis, tensor
-from qdrepeater.measure import RngStream, discard, enumerate_branches, sample
+from qdrepeater.measure import RngStream, discard, enumerate_branches, first_uniforms, sample
 from qdrepeater.protocol import _exchange_unitary, prepare_singlet
 
 from conftest import random_state
@@ -160,6 +162,40 @@ class TestRngStream:
             np.random.PCG64(np.random.SeedSequence(0, spawn_key=(0,)))
         ).random(3)
         assert np.array_equal(draws, expected)
+
+
+WORD_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+WORD_INDICES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+U64 = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+class TestFirstUniforms:
+    """The batch kernel against one RngStream per stream, bit for bit."""
+
+    @pytest.mark.parametrize("seed", WORD_SEEDS)
+    def test_word_boundaries(self, seed):
+        draws = first_uniforms(seed, np.array(WORD_INDICES, dtype=np.uint64))
+        assert draws.dtype == np.float64
+        assert draws.tolist() == [RngStream(seed, i).uniform() for i in WORD_INDICES]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=U64, indices=st.lists(U64, min_size=1, max_size=8))
+    def test_matches_rng_stream(self, seed, indices):
+        draws = first_uniforms(seed, np.array(indices, dtype=np.uint64))
+        assert draws.tolist() == [RngStream(seed, i).uniform() for i in indices]
+
+    def test_consecutive_trials(self):
+        draws = first_uniforms(7, np.arange(500))
+        assert draws.tolist() == [RngStream(7, i).uniform() for i in range(500)]
+        assert first_uniforms(7, np.arange(0)).shape == (0,)
+
+    def test_invalid_inputs_rejected(self):
+        with pytest.raises(ValueError, match="master_seed"):
+            first_uniforms(2**64, np.arange(3))
+        with pytest.raises(ValueError, match="non-negative"):
+            first_uniforms(0, np.array([0, -1]))
+        with pytest.raises(ValueError, match="integer"):
+            first_uniforms(0, np.array([0.0, 1.0]))
 
 
 class TestDiscard:

@@ -20,6 +20,7 @@ from qdrepeater.protocol import (
     closure_check,
     prepare_singlet,
     run_chain,
+    sample_branches,
     swap_effective,
     swap_full_cavity,
 )
@@ -285,6 +286,69 @@ class TestSwapTable:
         info = _swap_table.cache_info()
         assert info.misses == n
         assert info.currsize <= SWAP_TABLE_SIZE
+
+
+class TestSampleBranches:
+    """The batch pick against the scalar sampled swap, draw for draw."""
+
+    @pytest.mark.parametrize("theta", [THETA_SWAP, 0.0, 0.3, 1.234])
+    def test_picks_match_swap_effective(self, theta):
+        left, right = make_pair(PairTag.PSI, "a", "b"), make_pair(PairTag.PSI_PRIME, "c", "d")
+        state, middle = _compose_pairs(left, right)
+        state = apply(_exchange_unitary(theta), middle, state)
+        probs = np.array([b.probability for b in enumerate_branches(state, middle)])
+        cumsum, total = np.cumsum(probs), probs.sum()
+        # draws whose scaled value lands exactly on a Born boundary, where the
+        # side of the search decides the branch
+        near = [np.nextafter(c / total, d) for c in cumsum[:-1] for d in (0.0, 2.0)]
+        exact = [u for u in [c / total for c in cumsum[:-1]] + near if u * total in cumsum]
+        assert exact
+        draws = np.array([0.0, 1.0 - 2.0**-53, *exact, *near, *np.linspace(0.0, 0.99, 100)])
+        records, picks = sample_branches(left, right, theta, draws)
+        enumerated = swap_effective(left, right, theta)
+        assert len(records) == len(enumerated)
+        for rec, ref in zip(records, enumerated):
+            assert rec.branch.outcomes == ref.branch.outcomes
+            assert rec.branch.probability == ref.branch.probability
+        for u, k in zip(draws, picks):
+            expected = sample(state, middle, FixedRng(float(u))).outcome_string()
+            assert records[k].branch.outcome_string() == expected
+            rec = swap_effective(left, right, theta, rng=FixedRng(float(u)))
+            assert rec.branch.outcomes == records[k].branch.outcomes
+
+    @pytest.mark.parametrize("theta", [THETA_SWAP, 0.0, 0.3, 1.234])
+    def test_negligible_branches_never_picked(self, theta):
+        # a singlet beside a product |g>|e>: one middle excitation at most, so ee is empty
+        left = prepare_singlet(1, 2)
+        right = PairState(3, 4, np.array([0, 0, 1, 0], dtype=complex))
+        draws = np.linspace(0.0, 1.0 - 2.0**-53, 1001)
+        records, picks = sample_branches(left, right, theta, draws)
+        assert records[3].branch.negligible
+        assert 3 not in set(picks.tolist())
+        for u, k in zip(draws, picks):
+            rec = swap_effective(left, right, theta, rng=FixedRng(float(u)))
+            assert rec.branch.outcomes == records[k].branch.outcomes
+
+
+class TestThetaPeriod:
+    """The exchange has period π in θ, so huge angles still give a unitary swap."""
+
+    def test_small_angles_unchanged(self):
+        from qdrepeater.hilbert import propagator
+        from qdrepeater.model import exchange_generator
+
+        for theta in (THETA_SWAP, 0.3, 1.234, -3.0, 3.14):
+            direct = propagator(exchange_generator(("mid_a", "mid_b")), theta)
+            assert _exchange_unitary(theta).entries.tobytes() == direct.entries.tobytes()
+
+    @pytest.mark.parametrize("theta", [1e308, -1e308, 1e20, 4 * np.pi + 0.3])
+    def test_huge_angles(self, theta):
+        left, right = prepare_singlet(1, 2), prepare_singlet(3, 4)
+        records = swap_effective(left, right, theta)
+        assert sum(r.branch.probability for r in records) == pytest.approx(1.0, abs=1e-12)
+        reduced = swap_effective(left, right, float(np.fmod(theta, np.pi)))
+        for rec, ref in zip(records, reduced):
+            assert rec.branch.probability == ref.branch.probability
 
 
 class TestSwapFullCavity:

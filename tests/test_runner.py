@@ -3,9 +3,13 @@ import math
 
 import pytest
 
+from qdrepeater.analysis import success_stats
+from qdrepeater.measure import RngStream
+from qdrepeater.protocol import RetryPolicy, prepare_singlet, run_chain, swap_effective
 from qdrepeater.runner import (
     OUTPUT_DIR_ENV,
     RunConfig,
+    RunRecord,
     UsageError,
     execute,
     main,
@@ -169,6 +173,103 @@ class TestExecute:
         execute(config)
         payload = json.loads(capsys.readouterr().out)
         assert payload["results"]["summary"]["success_probability"] == pytest.approx(0.5)
+
+
+def per_trial_swap_results(theta, seed, trials):
+    """The sampled swap payload built one RngStream and one record per trial."""
+    left, right = prepare_singlet("QD1", "QD2"), prepare_singlet("QD3", "QD4")
+    records = [
+        swap_effective(left, right, theta, rng=RngStream(seed, trial)) for trial in range(trials)
+    ]
+    rows = [
+        {
+            "trial": trial,
+            "stream_index": trial,
+            "outcome": rec.branch.outcome_string(),
+            "success": rec.success,
+            "tag": rec.output.tag.value if rec.output else None,
+        }
+        for trial, rec in enumerate(records)
+    ]
+    stats = success_stats(records)
+    summary = {
+        "trials": stats.count,
+        "mean": stats.mean,
+        "std_error": stats.std_error,
+        "ci99_low": stats.ci99[0],
+        "ci99_high": stats.ci99[1],
+    }
+    return {"mode": "sample", "rows": rows, "summary": summary}
+
+
+class TestBatchedResults:
+    """Batched Monte Carlo payloads equal the per-trial construction byte for byte."""
+
+    @pytest.mark.parametrize("theta", [math.pi / 4, 0.3, 1.234, 0.0])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_swap_sample_matches_per_trial_streams(self, tmp_path, theta, seed):
+        trials = 400
+        record, _ = run_to_file(
+            tmp_path, ["swap", "--theta", repr(theta), "--seed", str(seed), "--trials", str(trials)]
+        )
+        expected = per_trial_swap_results(theta, seed, trials)
+        assert json.dumps(record.results) == json.dumps(expected)
+
+    def test_chain_summary_matches_run_records(self, tmp_path):
+        depth, trials, seed = 2, 150, 3
+        record, _ = run_to_file(
+            tmp_path,
+            ["chain", "--depth", str(depth), "--trials", str(trials), "--seed", str(seed),
+             "--retry-policy", "bounded:2"],
+        )
+        runs = [
+            run_chain(depth, RngStream(seed, t), math.pi / 4, RetryPolicy.bounded_retries(2))
+            for t in range(trials)
+        ]
+        stats = success_stats(runs)
+        summary = record.results["summary"]
+        assert 0 < stats.mean < 1
+        assert (summary["trials"], summary["mean_success"]) == (stats.count, stats.mean)
+        assert (summary["ci99_low"], summary["ci99_high"]) == stats.ci99
+        assert summary["mean_pairs_consumed"] == sum(r.pairs_consumed for r in runs) / trials
+
+
+class TestStrictInputs:
+    """Non-finite or overflowing inputs end as usage errors; records are strict JSON."""
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["sweep", "--ratios", "nan"], "ratios"),
+            (["sweep", "--ratios", "10,inf"], "ratios"),
+            (["swap", "--delta-over-g", "nan", "--enumerate"], "delta_over_g"),
+            (["swap", "--g-over-omega", "inf", "--enumerate"], "g_over_omega"),
+            (["validate", "--g-over-omega", "inf"], "g_over_omega"),
+            (["sweep", "--theta", "1e308", "--ratios", "10"], "theta"),
+            (["validate", "--theta", "1e308"], "theta"),
+            (["sweep", "--ratios", "1e300"], "theta"),
+        ],
+    )
+    def test_usage_error(self, tmp_path, capsys, args, field):
+        assert main(args + ["--output-path", str(tmp_path / "x.json")]) == 1
+        assert f"usage error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("mode", [["--enumerate"], ["--trials", "50"]])
+    def test_huge_theta_swap_runs(self, tmp_path, mode):
+        path = tmp_path / "x.json"
+        assert main(["swap", "--theta", "1e308", *mode, "--output-path", str(path)]) == 0
+        payload = json.loads(path.read_text(), parse_constant=pytest.fail)
+        assert payload["config"]["theta"] == 1e308
+        reduced = math.fmod(1e308, math.pi)
+        ref_path = tmp_path / "ref.json"
+        assert main(["swap", "--theta", repr(reduced), *mode, "--output-path", str(ref_path)]) == 0
+        assert payload["results"] == json.loads(ref_path.read_text())["results"]
+
+    def test_record_json_rejects_nan(self):
+        record = RunRecord({}, "0", "now", {"value": float("nan")}, 1.0)
+        with pytest.raises(ValueError):
+            record.to_json()
 
 
 class TestMainExitCodes:
