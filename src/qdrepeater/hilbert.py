@@ -176,9 +176,6 @@ class OperatorMatrix:
             if not np.allclose(gram, np.eye(d), atol=UNITARY_ATOL):
                 raise ValueError("operator declared unitary fails U†U = 1 within 1e-10")
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T, self.dims, self.labels, self.kind)
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -210,13 +207,13 @@ def qubit_basis(labels: Sequence[str], configuration: str) -> StateVector:
     return basis_state((2,) * len(labels), labels, levels)
 
 
-def fock_vacuum(label: str, n_max: int) -> StateVector:
-    """Cavity vacuum |0> on a mode truncated at photon number n_max."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    amps = np.zeros(n_max + 1, dtype=complex)
+def fock_vacuum(label: str, dim: int) -> StateVector:
+    """Cavity vacuum |0> on a mode of dim levels |0>, ..., |dim - 1>."""
+    if dim < 2:
+        raise ValueError(f"cavity dimension must be >= 2, got {dim}")
+    amps = np.zeros(dim, dtype=complex)
     amps[0] = 1.0
-    return StateVector(amps, (n_max + 1,), (label,))
+    return StateVector(amps, (dim,), (label,))
 
 
 # ---------------------------------------------------------------------------

@@ -54,13 +54,10 @@ class RngStream:
 
     master_seed: int
     stream_index: int = 0
-    algorithm: str = "pcg64"
     _generator: np.random.Generator = field(init=False, repr=False, compare=False)
     _draw_count: int = field(init=False, default=0, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.algorithm != "pcg64":
-            raise ValueError(f"unsupported rng algorithm {self.algorithm!r}")
         if not 0 <= int(self.master_seed) < 2**64:
             raise ValueError(f"master_seed must be a 64-bit unsigned int, got {self.master_seed}")
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
@@ -77,7 +74,7 @@ class RngStream:
 
     def spawn(self, stream_index: int) -> "RngStream":
         """Independent sibling stream under the same master seed."""
-        return RngStream(self.master_seed, stream_index, self.algorithm)
+        return RngStream(self.master_seed, stream_index)
 
 
 # numpy's SeedSequence hash constants (pool of four 32-bit words)

@@ -38,6 +38,12 @@ PROJ_EXCITED = np.diag([0.0, 1.0]).astype(complex)
 
 DISPERSIVE_RATIO = 10.0
 
+#: Cavity levels |0>, |1>, |2>.  The rotating-wave coupling conserves
+#: a†a + Σ_i |e><e|_i; the cavity starts in vacuum and the two middle qubits
+#: hold at most two excitations, so the photon number never exceeds 2 and
+#: three levels are exact, not a truncation.
+CAVITY_DIM = 3
+
 DEFAULT_CAVITY_SPACE = ("cavity", "qd_a", "qd_b")
 DEFAULT_PAIR_SPACE = ("qd_a", "qd_b")
 
@@ -60,7 +66,6 @@ class PhysParams:
     omega_cavity: float = 1.0
     omega_qubit: float = 1.2
     g: float = 0.01
-    n_max: int = 8
 
     def __post_init__(self):
         for name in ("omega_cavity", "omega_qubit", "g"):
@@ -71,8 +76,6 @@ class PhysParams:
             raise ValueError(f"coupling g must be >= 0, got {self.g}")
         if self.omega_qubit == self.omega_cavity:
             raise ValueError("zero detuning: omega_qubit must differ from omega_cavity")
-        if int(self.n_max) < 1 or int(self.n_max) != self.n_max:
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max}")
 
     @classmethod
     def from_ratio(
@@ -80,14 +83,12 @@ class PhysParams:
         delta_over_g: float = 20.0,
         g_over_omega: float = 0.01,
         omega_cavity: float = 1.0,
-        n_max: int = 8,
     ) -> "PhysParams":
         g = g_over_omega * omega_cavity
         return cls(
             omega_cavity=omega_cavity,
             omega_qubit=omega_cavity + delta_over_g * g,
             g=g,
-            n_max=n_max,
         )
 
     @property
@@ -102,16 +103,12 @@ class PhysParams:
     def is_dispersive(self) -> bool:
         return abs(self.delta) >= DISPERSIVE_RATIO * self.g
 
-    @property
-    def cavity_dim(self) -> int:
-        return self.n_max + 1
 
-
-def _cavity_space(p: PhysParams, labels: Sequence[str]) -> tuple[tuple[int, ...], tuple[str, ...]]:
+def _cavity_space(labels: Sequence[str]) -> tuple[tuple[int, ...], tuple[str, ...]]:
     labels = tuple(labels)
     if len(labels) != 3:
         raise ValueError(f"cavity space needs (cavity, qubit, qubit) labels, got {labels}")
-    return (p.cavity_dim, 2, 2), labels
+    return (CAVITY_DIM, 2, 2), labels
 
 
 def _embed(ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -123,8 +120,8 @@ def _embed(ops: Sequence[np.ndarray]) -> np.ndarray:
 
 def build_full_tcm(p: PhysParams, labels: Sequence[str] = DEFAULT_CAVITY_SPACE) -> OperatorMatrix:
     """Full cavity + two-qubit Hamiltonian with excitation-conserving coupling."""
-    dims, labels = _cavity_space(p, labels)
-    a = annihilation(p.cavity_dim)
+    dims, labels = _cavity_space(labels)
+    a = annihilation(CAVITY_DIM)
     iq = np.eye(2, dtype=complex)
     h = build_h0(p, labels).entries.copy()
     h += p.g * _embed([a.conj().T, SIGMA_MINUS, iq])
@@ -136,10 +133,9 @@ def build_full_tcm(p: PhysParams, labels: Sequence[str] = DEFAULT_CAVITY_SPACE) 
 
 def build_h0(p: PhysParams, labels: Sequence[str] = DEFAULT_CAVITY_SPACE) -> OperatorMatrix:
     """Free part: cavity energy plus both qubit Zeeman terms."""
-    dims, labels = _cavity_space(p, labels)
-    nc = p.cavity_dim
-    a = annihilation(nc)
-    ic, iq = np.eye(nc, dtype=complex), np.eye(2, dtype=complex)
+    dims, labels = _cavity_space(labels)
+    a = annihilation(CAVITY_DIM)
+    ic, iq = np.eye(CAVITY_DIM, dtype=complex), np.eye(2, dtype=complex)
     h = p.omega_cavity * _embed([a.conj().T @ a, iq, iq])
     h += 0.5 * p.omega_qubit * _embed([ic, SIGMA_Z, iq])
     h += 0.5 * p.omega_qubit * _embed([ic, iq, SIGMA_Z])
@@ -148,9 +144,9 @@ def build_h0(p: PhysParams, labels: Sequence[str] = DEFAULT_CAVITY_SPACE) -> Ope
 
 def align_frame(state: StateVector, t: float, p: PhysParams) -> StateVector:
     """Rotate a lab-frame state into the interaction picture: e^{+i H0 t} state."""
-    if len(state.dims) != 3 or state.dims[0] != p.cavity_dim or state.dims[1:] != (2, 2):
+    if state.dims != (CAVITY_DIM, 2, 2):
         raise ValueError(
-            f"align_frame expects a (cavity[{p.cavity_dim}], 2, 2) space, got dims {state.dims}"
+            f"align_frame expects a (cavity[{CAVITY_DIM}], 2, 2) space, got dims {state.dims}"
         )
     h0 = build_h0(p, state.labels)
     return apply(propagator(h0, -t), state.labels, state)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from math import fmod, pi
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -41,14 +41,7 @@ from .hilbert import (
     tensor,
 )
 from .measure import Branch, RngStream, discard, enumerate_branches
-from .model import (
-    PROJ_EXCITED,
-    PhysParams,
-    annihilation,
-    build_full_tcm,
-    build_h0,
-    exchange_generator,
-)
+from .model import CAVITY_DIM, PhysParams, build_full_tcm, build_h0, exchange_generator
 
 THETA_SWAP = pi / 4
 
@@ -56,7 +49,6 @@ PAIR_BASIS = ("ee", "eg", "ge", "gg")
 
 PAIR_NORM_ATOL = 1e-12
 CLASSIFY_TOL = 1e-8
-TRUNCATION_LIMIT = 1e-8
 
 
 class PairTag(str, Enum):
@@ -79,10 +71,6 @@ for _target in TARGET_AMPLITUDES.values():
 
 _TARGET_TAGS = tuple(TARGET_AMPLITUDES)
 _TARGET_MATRIX = np.conj(np.stack([TARGET_AMPLITUDES[t] for t in _TARGET_TAGS]))
-
-
-class TruncationError(RuntimeError):
-    """Cavity Fock truncation too small for the requested evolution."""
 
 
 @dataclass(frozen=True)
@@ -362,8 +350,6 @@ class FullSwapResult:
     endpoint_states: dict[str, DensityMatrix]
     fidelity_to_effective: dict[str, float]
     conditional_infidelity: float
-    excitation_drift: float
-    top_fock_population: float
 
 
 def swap_full_cavity(
@@ -377,10 +363,11 @@ def swap_full_cavity(
     """Swap step with the cavity mode explicit (full Tavis-Cummings evolution).
 
     Attaches a vacuum cavity to the middle pair, evolves the lab-frame
-    Hamiltonian for t = θ/λ (overridable, e.g. for the g = 0 limit), rotates
-    into the interaction picture, measures the middle qubits, and traces out
-    the cavity of each surviving branch.  Aborts with TruncationError if the
-    top Fock level is ever populated above 1e-8.
+    Hamiltonian once to t = θ/λ (overridable, e.g. for the g = 0 limit),
+    rotates into the interaction picture, measures the middle qubits, and
+    traces out the cavity of each surviving branch.  The cavity has
+    CAVITY_DIM = 3 levels, which is exact: the evolution conserves the
+    excitation number and the two middle qubits carry at most two.
     """
     if not p.is_dispersive:
         warnings.warn(
@@ -395,27 +382,9 @@ def swap_full_cavity(
     if cavity_label in ids:
         raise ValueError(f"cavity label {cavity_label!r} collides with a qubit id")
     cavity_space = (cavity_label, *middle)
-    state = tensor([fock_vacuum(cavity_label, p.n_max), state])
+    state = tensor([fock_vacuum(cavity_label, CAVITY_DIM), state])
 
-    h_full = build_full_tcm(p, cavity_space)
-    number_op = _excitation_number(p, cavity_space)
-    samples = np.linspace(0.0, t, 5)
-    reference = None
-    drift = 0.0
-    top_pop = 0.0
-    evolved = state
-    for tau in samples:
-        evolved = apply(propagator(h_full, float(tau)), cavity_space, state)
-        n_tau = float(np.real(np.vdot(evolved.amplitudes, apply(number_op, cavity_space, evolved).amplitudes)))
-        reference = n_tau if reference is None else reference
-        drift = max(drift, abs(n_tau - reference))
-        top_pop = max(top_pop, evolved.population(cavity_label, p.n_max))
-    if top_pop > TRUNCATION_LIMIT:
-        raise TruncationError(
-            f"top Fock level (n = {p.n_max}) population {top_pop:.3e} exceeds "
-            f"{TRUNCATION_LIMIT:.0e}; increase n_max"
-        )
-
+    evolved = apply(propagator(build_full_tcm(p, cavity_space), t), cavity_space, state)
     aligned = apply(propagator(build_h0(p, cavity_space), -t), cavity_space, evolved)
     branches = enumerate_branches(aligned, middle)
 
@@ -452,21 +421,7 @@ def swap_full_cavity(
         endpoint_states=endpoint_states,
         fidelity_to_effective=fidelities,
         conditional_infidelity=conditional_infidelity,
-        excitation_drift=drift,
-        top_fock_population=top_pop,
     )
-
-
-def _excitation_number(p: PhysParams, labels: Sequence[str]) -> OperatorMatrix:
-    """a†a + Σ_i |e><e|_i on the (cavity, qubit, qubit) space."""
-    nc = p.cavity_dim
-    a = annihilation(nc)
-    iq = np.eye(2, dtype=complex)
-    ic = np.eye(nc, dtype=complex)
-    n = np.kron(a.conj().T @ a, np.kron(iq, iq))
-    n += np.kron(ic, np.kron(PROJ_EXCITED, iq))
-    n += np.kron(ic, np.kron(iq, PROJ_EXCITED))
-    return OperatorMatrix(n, (nc, 2, 2), tuple(labels), "hermitian")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from qdrepeater.hilbert import basis_state, evolve, qubit_basis
 from qdrepeater.model import (
+    CAVITY_DIM,
     PhysParams,
     align_frame,
     annihilation,
@@ -26,7 +27,7 @@ def params():
 
 def cavity_ket(p, n, s2, s3):
     levels = (n, {"g": 0, "e": 1}[s2], {"g": 0, "e": 1}[s3])
-    return basis_state((p.cavity_dim, 2, 2), SPACE, levels)
+    return basis_state((CAVITY_DIM, 2, 2), SPACE, levels)
 
 
 class TestPhysParams:
@@ -39,10 +40,6 @@ class TestPhysParams:
         with pytest.raises(ValueError, match="detuning"):
             PhysParams(omega_cavity=1.0, omega_qubit=1.0, g=0.01)
 
-    def test_nmax_validation(self):
-        with pytest.raises(ValueError, match="n_max"):
-            PhysParams(n_max=0)
-
     def test_dispersive_flag(self):
         assert PhysParams.from_ratio(delta_over_g=10).is_dispersive
         assert not PhysParams.from_ratio(delta_over_g=9.9).is_dispersive
@@ -52,7 +49,6 @@ class TestPhysParams:
         assert p.omega_cavity == 1.0
         assert p.g == pytest.approx(0.01)
         assert p.delta == pytest.approx(0.2)
-        assert p.n_max == 8
 
 
 class TestFullHamiltonian:
@@ -65,14 +61,14 @@ class TestFullHamiltonian:
 
     def test_diagonal_elements(self, params):
         h = build_full_tcm(params, SPACE)
-        for n in range(params.n_max + 1):
+        for n in range(CAVITY_DIM):
             ket = cavity_ket(params, n, "g", "g")
             elem = np.vdot(ket.amplitudes, h.entries @ ket.amplitudes).real
             expected = n * params.omega_cavity - params.omega_qubit
             assert elem == pytest.approx(expected, abs=1e-12)
 
     def test_decoupled_limit_is_diagonal(self):
-        p = PhysParams(omega_cavity=1.0, omega_qubit=1.2, g=0.0, n_max=4)
+        p = PhysParams(omega_cavity=1.0, omega_qubit=1.2, g=0.0)
         h = build_full_tcm(p, SPACE)
         off = h.entries - np.diag(np.diag(h.entries))
         assert np.max(np.abs(off)) == 0.0
@@ -91,7 +87,7 @@ class TestFreeHamiltonian:
         assert np.allclose(out, -params.omega_qubit * ket.amplitudes, atol=1e-14)
 
     def test_commutes_with_excitation_number(self, params):
-        nc = params.cavity_dim
+        nc = CAVITY_DIM
         a = annihilation(nc)
         proj_e = np.diag([0.0, 1.0])
         iq, ic = np.eye(2), np.eye(nc)
@@ -110,16 +106,16 @@ class TestFrameAlignment:
         assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-14)
 
     def test_pure_phases_preserve_magnitudes(self, params, rng):
-        amps = rng.normal(size=4 * params.cavity_dim) + 1j * rng.normal(size=4 * params.cavity_dim)
+        amps = rng.normal(size=4 * CAVITY_DIM) + 1j * rng.normal(size=4 * CAVITY_DIM)
         amps /= np.linalg.norm(amps)
-        state = type(cavity_ket(params, 0, "g", "g"))(amps, (params.cavity_dim, 2, 2), SPACE)
+        state = type(cavity_ket(params, 0, "g", "g"))(amps, (CAVITY_DIM, 2, 2), SPACE)
         out = align_frame(state, 3.7, params)
         assert np.max(np.abs(np.abs(out.amplitudes) - np.abs(state.amplitudes))) < 1e-12
 
     def test_inverts_free_evolution(self, params, rng):
-        amps = rng.normal(size=4 * params.cavity_dim) + 1j * rng.normal(size=4 * params.cavity_dim)
+        amps = rng.normal(size=4 * CAVITY_DIM) + 1j * rng.normal(size=4 * CAVITY_DIM)
         amps /= np.linalg.norm(amps)
-        state = type(cavity_ket(params, 0, "g", "g"))(amps, (params.cavity_dim, 2, 2), SPACE)
+        state = type(cavity_ket(params, 0, "g", "g"))(amps, (CAVITY_DIM, 2, 2), SPACE)
         h0 = build_h0(params, SPACE)
         roundtrip = align_frame(evolve(h0, 5.1, state), 5.1, params)
         assert np.max(np.abs(roundtrip.amplitudes - state.amplitudes)) < 1e-10
@@ -200,7 +196,7 @@ class TestOracleEquivalence:
 class TestExcitationConservation:
     def test_full_tcm_conserves_excitation_number(self, params):
         h = build_full_tcm(params, SPACE)
-        nc = params.cavity_dim
+        nc = CAVITY_DIM
         a = annihilation(nc)
         proj_e = np.diag([0.0, 1.0])
         n_op = np.kron(a.conj().T @ a, np.eye(4))
