@@ -39,6 +39,11 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return out
 
 
+def _within(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    """Whether every entry of a - b is at most atol in modulus (NaN never is)."""
+    return bool(np.max(np.abs(a - b)) <= atol)
+
+
 def _check_space(dims: tuple[int, ...], labels: tuple[str, ...]) -> None:
     if len(dims) != len(labels):
         raise ValueError(f"{len(dims)} dims but {len(labels)} labels")
@@ -131,7 +136,7 @@ class DensityMatrix:
         d = prod(self.dims)
         if self.entries.shape != (d, d):
             raise ValueError(f"entries shape {self.entries.shape}, expected {(d, d)}")
-        if not np.allclose(self.entries, self.entries.conj().T, atol=HERMITIAN_ATOL):
+        if not _within(self.entries, self.entries.conj().T, HERMITIAN_ATOL):
             raise ValueError("density matrix is not Hermitian within 1e-12")
         tr = complex(np.trace(self.entries))
         if abs(tr - 1.0) > TRACE_ATOL:
@@ -169,11 +174,11 @@ class OperatorMatrix:
         if self.entries.shape != (d, d):
             raise ValueError(f"entries shape {self.entries.shape}, expected {(d, d)}")
         if self.kind is OperatorKind.HERMITIAN:
-            if not np.allclose(self.entries, self.entries.conj().T, atol=HERMITIAN_ATOL):
+            if not _within(self.entries, self.entries.conj().T, HERMITIAN_ATOL):
                 raise ValueError("operator declared Hermitian is not, within 1e-12")
         elif self.kind is OperatorKind.UNITARY:
             gram = self.entries.conj().T @ self.entries
-            if not np.allclose(gram, np.eye(d), atol=UNITARY_ATOL):
+            if not _within(gram, np.eye(d), UNITARY_ATOL):
                 raise ValueError("operator declared unitary fails U†U = 1 within 1e-10")
 
 
@@ -283,7 +288,7 @@ def propagator(h: OperatorMatrix, t: float) -> OperatorMatrix:
 
 def _require_hermitian(h: OperatorMatrix) -> None:
     if h.kind is not OperatorKind.HERMITIAN:
-        if not np.allclose(h.entries, h.entries.conj().T, atol=HERMITIAN_ATOL):
+        if not _within(h.entries, h.entries.conj().T, HERMITIAN_ATOL):
             raise ValueError("evolution requires a Hermitian generator")
 
 

@@ -9,8 +9,6 @@ and, for a far-detuned vacuum cavity, the effective two-qubit Hamiltonian
     H_eff = λ [ Σ_i |e><e|_i + (σa+ σb− + σa− σb+) ],   λ = g²/Δ,
 
 whose basis-state evolution has simple closed forms (`closed_form_step`).
-Frame alignment (`align_frame`) undoes the free evolution so lab-frame and
-effective-model results can be compared directly.
 
 Units are dimensionless with hbar = 1; only the ratios Δ/g and g/w matter
 for the protocol, so the default scale is w_cavity = 1.
@@ -23,13 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import (
-    OperatorKind,
-    OperatorMatrix,
-    StateVector,
-    apply,
-    propagator,
-)
+from .hilbert import OperatorKind, OperatorMatrix, StateVector
 
 SIGMA_Z = np.diag([-1.0, 1.0]).astype(complex)      # |e><e| - |g><g|
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |e><g|
@@ -118,38 +110,33 @@ def _embed(ops: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+# Fixed templates of H = ω N + (ω_q/2) Z + g V on (cavity, qubit, qubit):
+# photon number, the two Zeeman terms, and the excitation-conserving coupling.
+_A = annihilation(CAVITY_DIM)
+_IC, _IQ = np.eye(CAVITY_DIM, dtype=complex), np.eye(2, dtype=complex)
+_N = _embed([_A.conj().T @ _A, _IQ, _IQ])
+_Z = _embed([_IC, SIGMA_Z, _IQ]) + _embed([_IC, _IQ, SIGMA_Z])
+_V = _embed([_A.conj().T, SIGMA_MINUS, _IQ]) + _embed([_A, SIGMA_PLUS, _IQ])
+_V += _embed([_A.conj().T, _IQ, SIGMA_MINUS]) + _embed([_A, _IQ, SIGMA_PLUS])
+for _template in (_N, _Z, _V):
+    _template.setflags(write=False)
+
+
+def _free_entries(p: PhysParams) -> np.ndarray:
+    return p.omega_cavity * _N + (0.5 * p.omega_qubit) * _Z
+
+
 def build_full_tcm(p: PhysParams, labels: Sequence[str] = DEFAULT_CAVITY_SPACE) -> OperatorMatrix:
     """Full cavity + two-qubit Hamiltonian with excitation-conserving coupling."""
     dims, labels = _cavity_space(labels)
-    a = annihilation(CAVITY_DIM)
-    iq = np.eye(2, dtype=complex)
-    h = build_h0(p, labels).entries.copy()
-    h += p.g * _embed([a.conj().T, SIGMA_MINUS, iq])
-    h += p.g * _embed([a, SIGMA_PLUS, iq])
-    h += p.g * _embed([a.conj().T, iq, SIGMA_MINUS])
-    h += p.g * _embed([a, iq, SIGMA_PLUS])
+    h = _free_entries(p) + p.g * _V
     return OperatorMatrix(h, dims, labels, OperatorKind.HERMITIAN)
 
 
 def build_h0(p: PhysParams, labels: Sequence[str] = DEFAULT_CAVITY_SPACE) -> OperatorMatrix:
     """Free part: cavity energy plus both qubit Zeeman terms."""
     dims, labels = _cavity_space(labels)
-    a = annihilation(CAVITY_DIM)
-    ic, iq = np.eye(CAVITY_DIM, dtype=complex), np.eye(2, dtype=complex)
-    h = p.omega_cavity * _embed([a.conj().T @ a, iq, iq])
-    h += 0.5 * p.omega_qubit * _embed([ic, SIGMA_Z, iq])
-    h += 0.5 * p.omega_qubit * _embed([ic, iq, SIGMA_Z])
-    return OperatorMatrix(h, dims, labels, OperatorKind.HERMITIAN)
-
-
-def align_frame(state: StateVector, t: float, p: PhysParams) -> StateVector:
-    """Rotate a lab-frame state into the interaction picture: e^{+i H0 t} state."""
-    if state.dims != (CAVITY_DIM, 2, 2):
-        raise ValueError(
-            f"align_frame expects a (cavity[{CAVITY_DIM}], 2, 2) space, got dims {state.dims}"
-        )
-    h0 = build_h0(p, state.labels)
-    return apply(propagator(h0, -t), state.labels, state)
+    return OperatorMatrix(_free_entries(p), dims, labels, OperatorKind.HERMITIAN)
 
 
 def exchange_generator(labels: Sequence[str] = DEFAULT_PAIR_SPACE) -> OperatorMatrix:

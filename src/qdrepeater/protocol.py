@@ -40,8 +40,8 @@ from .hilbert import (
     propagator,
     tensor,
 )
-from .measure import Branch, RngStream, discard, enumerate_branches
-from .model import CAVITY_DIM, PhysParams, build_full_tcm, build_h0, exchange_generator
+from .measure import Branch, RngStream, enumerate_branches
+from .model import CAVITY_DIM, PhysParams, build_full_tcm, exchange_generator
 
 THETA_SWAP = pi / 4
 
@@ -364,10 +364,13 @@ def swap_full_cavity(
 
     Attaches a vacuum cavity to the middle pair, evolves the lab-frame
     Hamiltonian once to t = θ/λ (overridable, e.g. for the g = 0 limit),
-    rotates into the interaction picture, measures the middle qubits, and
-    traces out the cavity of each surviving branch.  The cavity has
-    CAVITY_DIM = 3 levels, which is exact: the evolution conserves the
-    excitation number and the two middle qubits carry at most two.
+    measures the middle qubits, and traces out the cavity of each surviving
+    branch.  No interaction-picture rotation is needed: the free part is
+    diagonal in (photon number, middle qubits) and idle on the endpoints, so
+    within an outcome branch it only puts one phase on each photon-number
+    block, which the branch probabilities and the cavity trace drop.  The
+    cavity has CAVITY_DIM = 3 levels, which is exact: the evolution conserves
+    the excitation number and the two middle qubits carry at most two.
     """
     if not p.is_dispersive:
         warnings.warn(
@@ -385,8 +388,7 @@ def swap_full_cavity(
     state = tensor([fock_vacuum(cavity_label, CAVITY_DIM), state])
 
     evolved = apply(propagator(build_full_tcm(p, cavity_space), t), cavity_space, state)
-    aligned = apply(propagator(build_h0(p, cavity_space), -t), cavity_space, evolved)
-    branches = enumerate_branches(aligned, middle)
+    branches = enumerate_branches(evolved, middle)
 
     effective = {
         rec.branch.outcome_string(): rec for rec in swap_effective(left, right, theta)
@@ -401,7 +403,11 @@ def swap_full_cavity(
         is_success = branch.outcomes[middle[0]] != branch.outcomes[middle[1]]
         if not is_success or branch.negligible:
             continue
-        stripped = discard(branch.post_state, middle)
+        # post_state axes are (cavity, left.left, mid, mid, right.right), and
+        # the measured qubits are exactly collapsed: slice instead of discard
+        s2, s3 = (QUBIT_LEVELS[branch.outcomes[m]] for m in middle)
+        amps = branch.post_state.tensor_view()[:, :, s2, s3, :]
+        stripped = StateVector(amps, (CAVITY_DIM, 2, 2), (cavity_label, *endpoints))
         rho = partial_trace(stripped, endpoints)
         target = effective[outcome].output.to_state_vector()
         fid = float(np.real(np.vdot(target.amplitudes, rho.entries @ target.amplitudes)))

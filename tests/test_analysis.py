@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
+from qdrepeater import protocol
 from qdrepeater.analysis import (
+    ENVELOPE_MARGIN,
     concurrence,
     dispersive_sweep,
     fidelity,
     infidelity_envelope,
     success_stats,
 )
-from qdrepeater.hilbert import DensityMatrix, StateVector, partial_trace, qubit_basis
+from qdrepeater.hilbert import DensityMatrix, StateVector, partial_trace, propagator, qubit_basis
 from qdrepeater.measure import RngStream
-from qdrepeater.model import PhysParams
+from qdrepeater.model import CAVITY_DIM, PhysParams
 from qdrepeater.protocol import (
     TARGET_AMPLITUDES,
     PairTag,
@@ -147,3 +149,29 @@ class TestDispersiveSweep:
         # the leakage oscillates with Δt = θ(Δ/g)²: it rises from 20 to 30
         assert infids[3] > infids[1]
         assert infidelity_envelope(20) == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("theta", [np.pi / 4, 1.234, np.pi / 2, 2.0])
+    def test_envelope_holds_on_dense_grid(self, theta):
+        """Up to θ = 2 the excitation-sector evolution stays at or below 1.0000
+        times the envelope on [10, 200]; at θ >= 3 it exceeds 1.01 near Δ/g = 10."""
+        points = dispersive_sweep(list(np.linspace(10, 200, 501)), PhysParams.from_ratio(), theta)
+        worst = max(pt.conditional_infidelity / infidelity_envelope(pt.ratio) for pt in points)
+        assert worst <= ENVELOPE_MARGIN
+
+    def test_point_evolves_once_from_fixed_templates(self, monkeypatch):
+        """One eigendecomposition and no operator rebuild per point, once the
+        singlet swap table that every point shares is cached."""
+        dispersive_sweep((20,), PhysParams.from_ratio())
+        spaces = []
+
+        def counted(h, t):
+            spaces.append(h.dims)
+            return propagator(h, t)
+
+        def no_kron(*args, **kwargs):
+            raise AssertionError("np.kron called inside a sweep point")
+
+        monkeypatch.setattr(protocol, "propagator", counted)
+        monkeypatch.setattr(np, "kron", no_kron)
+        dispersive_sweep((37.5,), PhysParams.from_ratio())
+        assert spaces == [(CAVITY_DIM, 2, 2)]

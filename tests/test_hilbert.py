@@ -215,6 +215,24 @@ class TestOperatorValidation:
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix([[0.5, 1], [0, 0.5]], (2,), ("q",))
 
+    @pytest.mark.parametrize("validator", ["hermitian", "unitary", "density", "generator"])
+    @pytest.mark.parametrize("defect, rejected", [(1e-6, True), (np.nan, True), (1e-13, False)])
+    def test_stated_bounds_are_absolute(self, validator, defect, rejected):
+        """A defect above the stated atol, or a NaN, is rejected even on entries
+        of order one, where a relative tolerance would have hidden it."""
+        skew = np.array([[0.5, 0.5 + defect], [0.5, 0.5]])
+        build = {
+            "hermitian": lambda: op2(skew, kind=OperatorKind.HERMITIAN),
+            "unitary": lambda: op2(np.diag([1.0, 1.0 + defect]), kind=OperatorKind.UNITARY),
+            "density": lambda: DensityMatrix(skew, (2,), ("q",)),
+            "generator": lambda: propagator(op2(skew), 1.0),
+        }[validator]
+        if rejected:
+            with pytest.raises(ValueError, match="Hermitian|unitary"):
+                build()
+        else:
+            build()
+
 
 class TestBasisConstruction:
     def test_basis_state_index(self):

@@ -5,7 +5,6 @@ from qdrepeater.hilbert import basis_state, evolve, qubit_basis
 from qdrepeater.model import (
     CAVITY_DIM,
     PhysParams,
-    align_frame,
     annihilation,
     build_effective,
     build_full_tcm,
@@ -78,6 +77,25 @@ class TestFullHamiltonian:
         h = build_full_tcm(params, SPACE)
         assert np.max(np.abs(h.entries - h.entries.conj().T)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "omega_cavity, omega_qubit, g", [(1.0, 1.2, 0.01), (1.0, 1.8, 0.01), (2.5, 0.3, 0.4)]
+    )
+    def test_templates_match_kron_build(self, omega_cavity, omega_qubit, g):
+        p = PhysParams(omega_cavity=omega_cavity, omega_qubit=omega_qubit, g=g)
+        a = np.diag(np.sqrt(np.arange(1.0, CAVITY_DIM)), 1)
+        sz = np.diag([-1.0, 1.0])
+        sp = np.array([[0.0, 0.0], [1.0, 0.0]])
+        ic, iq = np.eye(CAVITY_DIM), np.eye(2)
+
+        def kron3(x, y, z):
+            return np.kron(x, np.kron(y, z))
+
+        h0 = omega_cavity * kron3(a.T @ a, iq, iq)
+        h0 += 0.5 * omega_qubit * (kron3(ic, sz, iq) + kron3(ic, iq, sz))
+        v = kron3(a.T, sp.T, iq) + kron3(a, sp, iq) + kron3(a.T, iq, sp.T) + kron3(a, iq, sp)
+        assert np.max(np.abs(build_h0(p, SPACE).entries - h0)) <= 1e-15
+        assert np.max(np.abs(build_full_tcm(p, SPACE).entries - (h0 + g * v))) <= 1e-15
+
 
 class TestFreeHamiltonian:
     def test_ground_state_energy(self, params):
@@ -97,32 +115,6 @@ class TestFreeHamiltonian:
             h = build(params, SPACE).entries
             comm = h @ n_op - n_op @ h
             assert np.max(np.abs(comm)) < 1e-12
-
-
-class TestFrameAlignment:
-    def test_identity_at_t_zero(self, params):
-        state = cavity_ket(params, 1, "e", "g")
-        out = align_frame(state, 0.0, params)
-        assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-14)
-
-    def test_pure_phases_preserve_magnitudes(self, params, rng):
-        amps = rng.normal(size=4 * CAVITY_DIM) + 1j * rng.normal(size=4 * CAVITY_DIM)
-        amps /= np.linalg.norm(amps)
-        state = type(cavity_ket(params, 0, "g", "g"))(amps, (CAVITY_DIM, 2, 2), SPACE)
-        out = align_frame(state, 3.7, params)
-        assert np.max(np.abs(np.abs(out.amplitudes) - np.abs(state.amplitudes))) < 1e-12
-
-    def test_inverts_free_evolution(self, params, rng):
-        amps = rng.normal(size=4 * CAVITY_DIM) + 1j * rng.normal(size=4 * CAVITY_DIM)
-        amps /= np.linalg.norm(amps)
-        state = type(cavity_ket(params, 0, "g", "g"))(amps, (CAVITY_DIM, 2, 2), SPACE)
-        h0 = build_h0(params, SPACE)
-        roundtrip = align_frame(evolve(h0, 5.1, state), 5.1, params)
-        assert np.max(np.abs(roundtrip.amplitudes - state.amplitudes)) < 1e-10
-
-    def test_wrong_space_rejected(self, params):
-        with pytest.raises(ValueError, match="expects"):
-            align_frame(qubit_basis(("a", "b"), "gg"), 1.0, params)
 
 
 class TestEffectiveHamiltonian:
